@@ -90,17 +90,92 @@ pub struct MstResult {
     pub plan: SchedReport,
 }
 
-/// Splits `[lo, hi)` into at most `b` contiguous integer buckets of
-/// near-equal width (every bucket non-empty).
-fn bucket_bounds(lo: u64, hi: u64, b: u64) -> Vec<(u64, u64)> {
+/// Bucket `j` of `[lo, hi)` split into at most `b` contiguous integer
+/// buckets of near-equal width (every bucket non-empty), or `None` when
+/// the range has fewer than `j + 1` buckets.
+fn bucket(lo: u64, hi: u64, b: u64, j: u64) -> Option<(u64, u64)> {
     let width = hi.saturating_sub(lo);
-    if width == 0 {
-        return Vec::new();
-    }
     let b = b.min(width);
-    (0..b)
-        .map(|i| (lo + width * i / b, lo + width * (i + 1) / b))
-        .collect()
+    (j < b).then(|| (lo + width * j / b, lo + width * (j + 1) / b))
+}
+
+/// The FindMin key of arc `a → b` with weight `w`: weight first, arc id as
+/// the tie-break.
+fn find_key(w: u64, a: NodeId, b: NodeId, idb: u32) -> u64 {
+    (w << (2 * idb)) | arc_id(a, b, idb)
+}
+
+/// One incident arc `{u, v}` seen from `u`: the keys of `u → v` (up) and
+/// `v → u` (down) with their sketch masks.
+struct ArcSketch {
+    key_up: u64,
+    mask_up: u64,
+    key_dn: u64,
+    mask_dn: u64,
+}
+
+/// Every node's incident arcs with their FindMin keys and sketch masks,
+/// aligned with the graph's adjacency lists. A mask depends only on its
+/// key and the run's fixed sketch, so it is hashed once per run instead
+/// of on every FindMin step of every Boruvka phase.
+struct ArcSketches {
+    offsets: Vec<usize>,
+    arcs: Vec<ArcSketch>,
+}
+
+impl ArcSketches {
+    fn new(wg: &WeightedGraph, sketch: &XorSketch, idb: u32) -> Self {
+        let n = wg.n();
+        let mut offsets = Vec::with_capacity(n + 1);
+        let mut arcs = Vec::with_capacity(2 * wg.m());
+        offsets.push(0);
+        for u in 0..n as NodeId {
+            arcs.extend(wg.weighted_neighbors(u).map(|(v, w)| {
+                let (key_up, key_dn) = (find_key(w, u, v, idb), find_key(w, v, u, idb));
+                ArcSketch {
+                    key_up,
+                    mask_up: sketch.element_mask(key_up),
+                    key_dn,
+                    mask_dn: sketch.element_mask(key_dn),
+                }
+            }));
+            offsets.push(arcs.len());
+        }
+        ArcSketches { offsets, arcs }
+    }
+
+    /// Bucket-`j` memberships for the given live ranges: every node
+    /// sketches its incident arcs with keys in bucket `j` of its
+    /// component's range.
+    fn memberships(
+        &self,
+        lo: &[u64],
+        hi: &[u64],
+        leader: &[NodeId],
+        j: usize,
+    ) -> Vec<Vec<(GroupId, (u64, u64))>> {
+        (0..leader.len())
+            .map(|u| {
+                let Some((blo, bhi)) = bucket(lo[u], hi[u], FIND_BUCKETS, j as u64) else {
+                    return Vec::new();
+                };
+                let (mut up, mut down) = (0u64, 0u64);
+                for a in &self.arcs[self.offsets[u]..self.offsets[u + 1]] {
+                    if (blo..bhi).contains(&a.key_up) {
+                        up ^= a.mask_up;
+                    }
+                    if (blo..bhi).contains(&a.key_dn) {
+                        down ^= a.mask_dn;
+                    }
+                }
+                if up == 0 && down == 0 {
+                    Vec::new() // zero contribution: XOR-identity, skip
+                } else {
+                    vec![(GroupId::new(leader[u], FIND_SUB), (up, down))]
+                }
+            })
+            .collect()
+    }
 }
 
 /// Runs the MST algorithm. Works on disconnected graphs (yields a forest).
@@ -126,7 +201,6 @@ pub fn mst(
     report.push("agree-w", s);
     let w_max = wmax[0].unwrap_or(1);
 
-    let key_of = |w: u64, a: NodeId, b: NodeId| -> u64 { (w << (2 * idb)) | arc_id(a, b, idb) };
     let range_hi: u64 = (w_max + 1) << (2 * idb);
     // steps until every component's live range has width ≤ 1 (worst-case
     // bucket width is ⌈width / B⌉)
@@ -146,38 +220,9 @@ pub fn mst(
         SKETCH_TRIALS,
         SharedRandomness::k_for(n),
     );
-
-    // bucket-j memberships for the given live ranges: every node sketches
-    // its incident arcs with keys in bucket j of its component's range.
-    // A `Copy` closure, so the per-bucket DAG build closures can share it.
-    let sketch_ref = &sketch;
-    let build_memberships = move |lo: &[u64], hi: &[u64], leader: &[NodeId], j: usize| {
-        (0..n)
-            .map(|u| {
-                let bounds = bucket_bounds(lo[u], hi[u], FIND_BUCKETS);
-                let Some(&(blo, bhi)) = bounds.get(j) else {
-                    return Vec::new();
-                };
-                let mut up = 0u64;
-                let mut down = 0u64;
-                for (v, w) in wg.weighted_neighbors(u as NodeId) {
-                    let k_up = key_of(w, u as NodeId, v);
-                    if (blo..bhi).contains(&k_up) {
-                        up ^= sketch_ref.element_mask(k_up & arc_mask | (w << (2 * idb)));
-                    }
-                    let k_dn = key_of(w, v, u as NodeId);
-                    if (blo..bhi).contains(&k_dn) {
-                        down ^= sketch_ref.element_mask(k_dn & arc_mask | (w << (2 * idb)));
-                    }
-                }
-                if up == 0 && down == 0 {
-                    Vec::new() // zero contribution: XOR-identity, skip
-                } else {
-                    vec![(GroupId::new(leader[u], FIND_SUB), (up, down))]
-                }
-            })
-            .collect::<Vec<Vec<(GroupId, (u64, u64))>>>()
-    };
+    let arc_sketches = ArcSketches::new(wg, &sketch, idb);
+    // Shared by reference, so the per-bucket DAG build closures can copy it.
+    let arc_sketches = &arc_sketches;
 
     // leaders descend into the smallest non-empty bucket (up ≠ down sketch)
     fn descend(
@@ -190,26 +235,15 @@ pub fn mst(
             if leader[u] != u as NodeId || hi[u] <= lo[u] {
                 continue;
             }
-            let bounds = bucket_bounds(lo[u], hi[u], FIND_BUCKETS);
-            let mut chosen = None;
-            for (j, &(blo, bhi)) in bounds.iter().enumerate() {
-                let (up, down) = lane_out[j][u].first().map(|&(_, v)| v).unwrap_or((0, 0));
-                if up != down {
-                    chosen = Some((blo, bhi));
-                    break;
-                }
-            }
-            match chosen {
-                Some((blo, bhi)) => {
-                    lo[u] = blo;
-                    hi[u] = bhi;
-                }
-                None => {
-                    // no outgoing arc anywhere in the live range
-                    lo[u] = 0;
-                    hi[u] = 0;
-                }
-            }
+            let chosen = (0..FIND_BUCKETS)
+                .map_while(|j| bucket(lo[u], hi[u], FIND_BUCKETS, j))
+                .zip(lane_out)
+                .find_map(|(b, out)| {
+                    let (up, down) = out[u].first().map_or((0, 0), |&(_, v)| v);
+                    (up != down).then_some(b)
+                });
+            // (0, 0): no outgoing arc anywhere in the live range
+            (lo[u], hi[u]) = chosen.unwrap_or((0, 0));
         }
     }
 
@@ -292,7 +326,8 @@ pub fn mst(
                                 n,
                                 shared,
                                 AggregationSpec {
-                                    memberships: build_memberships(&lo_c, &hi_c, &leader_c, j),
+                                    memberships: arc_sketches
+                                        .memberships(&lo_c, &hi_c, &leader_c, j),
                                     ell2_hat: 1,
                                 },
                                 &XorPair,
@@ -374,7 +409,7 @@ pub fn mst(
                                 n,
                                 shared,
                                 AggregationSpec {
-                                    memberships: build_memberships(lo, hi, &leader_c, j),
+                                    memberships: arc_sketches.memberships(lo, hi, &leader_c, j),
                                     ell2_hat: 1,
                                 },
                                 &XorPair,
@@ -709,15 +744,81 @@ mod tests {
     #[test]
     fn bucket_bounds_partition_the_range() {
         for (lo, hi) in [(0u64, 1u64), (0, 7), (5, 6), (10, 100), (0, 1 << 40)] {
-            let b = bucket_bounds(lo, hi, 4);
+            let b: Vec<(u64, u64)> = (0..4).map_while(|j| bucket(lo, hi, 4, j)).collect();
             assert!(!b.is_empty());
+            assert_eq!(b.len() as u64, (hi - lo).min(4));
             assert_eq!(b[0].0, lo);
             assert_eq!(b.last().unwrap().1, hi);
             for w in b.windows(2) {
                 assert_eq!(w[0].1, w[1].0, "buckets must be contiguous");
             }
             assert!(b.iter().all(|&(a, z)| z > a), "no empty buckets");
+            assert_eq!(bucket(lo, hi, 4, b.len() as u64), None);
         }
-        assert!(bucket_bounds(3, 3, 4).is_empty());
+        assert_eq!(bucket(3, 3, 4, 0), None);
+    }
+
+    #[test]
+    fn memoised_memberships_match_direct_masks() {
+        use rand::{Rng, SeedableRng};
+        // weights in {1..3} force ties; node 30 stays isolated
+        let g = gen::gnp(30, 0.25, 5);
+        let edges: Vec<(NodeId, NodeId)> = g.edges().collect();
+        let wg = WeightedGraph::from_weighted_edges(
+            31,
+            edges
+                .iter()
+                .enumerate()
+                .map(|(i, &(u, v))| (u, v, 1 + i as u64 % 3)),
+        );
+        assert_eq!(wg.degree(30), 0);
+        let n = wg.n();
+        let idb = node_id_bits(n);
+        let arc_mask: u64 = (1u64 << (2 * idb)) - 1;
+        let shared = SharedRandomness::new(17);
+        let sketch = XorSketch::derive(&shared, 99, SKETCH_TRIALS, SharedRandomness::k_for(n));
+        let table = ArcSketches::new(&wg, &sketch, idb);
+        let range_hi = (wg.max_weight() + 1) << (2 * idb);
+        let mut rng = rand::rngs::SmallRng::seed_from_u64(3);
+        for _ in 0..20 {
+            let leader: Vec<NodeId> = (0..n).map(|_| rng.gen_range(0..n as NodeId)).collect();
+            let (lo, hi): (Vec<u64>, Vec<u64>) = (0..n)
+                .map(|_| {
+                    let a = rng.gen_range(0..=range_hi);
+                    let b = rng.gen_range(0..=range_hi);
+                    (a.min(b), a.max(b))
+                })
+                .unzip();
+            for j in 0..FIND_BUCKETS as usize {
+                let direct: Vec<Vec<(GroupId, (u64, u64))>> = (0..n)
+                    .map(|u| {
+                        let Some((blo, bhi)) = bucket(lo[u], hi[u], FIND_BUCKETS, j as u64) else {
+                            return Vec::new();
+                        };
+                        let (mut up, mut down) = (0, 0);
+                        for (v, w) in wg.weighted_neighbors(u as NodeId) {
+                            let k_up = find_key(w, u as NodeId, v, idb);
+                            if (blo..bhi).contains(&k_up) {
+                                up ^= sketch.element_mask((k_up & arc_mask) | (w << (2 * idb)));
+                            }
+                            let k_dn = find_key(w, v, u as NodeId, idb);
+                            if (blo..bhi).contains(&k_dn) {
+                                down ^= sketch.element_mask((k_dn & arc_mask) | (w << (2 * idb)));
+                            }
+                        }
+                        if up == 0 && down == 0 {
+                            Vec::new()
+                        } else {
+                            vec![(GroupId::new(leader[u], FIND_SUB), (up, down))]
+                        }
+                    })
+                    .collect();
+                assert_eq!(
+                    table.memberships(&lo, &hi, &leader, j),
+                    direct,
+                    "bucket {j}"
+                );
+            }
+        }
     }
 }

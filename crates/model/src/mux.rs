@@ -33,6 +33,15 @@
 //! the execution ends when every lane of every node is quiet, which is the
 //! synchronisation point the paper's phase barriers provide.
 //!
+//! ## Cost model
+//!
+//! Lane dispatch costs zero heap allocations per node-round and one per
+//! message: the `Arc` behind its [`DynPayload`]. Each lane's per-node slot
+//! holds the lane's typed inbox and outbox, which keep their capacity
+//! across rounds. A lane fills its inbox straight from the combined inbox
+//! by lane id, and the interleave moves sends out of the outboxes in
+//! place. `tests/mux_alloc.rs` pins this contract.
+//!
 //! ## Determinism
 //!
 //! Lanes are stepped in lane order within a node, the interleave is
@@ -124,14 +133,38 @@ impl<P: Payload> Payload for Tagged<P> {
 /// Identifier of a lane within one [`Mux`] (index into the lane table).
 pub type LaneId = usize;
 
-/// Per-node, per-lane slot: the lane's state plus its activity bookkeeping.
+/// One lane's per-node cell: the lane's state plus its typed inbox and
+/// outbox, which keep their capacity from round to round.
+struct LaneCell<S, P> {
+    /// `None` once [`take_lane_states`] moved the state out.
+    state: Option<S>,
+    inbox: Vec<Envelope<P>>,
+    out: Vec<(NodeId, P)>,
+}
+
+/// Object-safe view of a [`LaneCell`]: [`take_lane_states`] reaches the
+/// state knowing only its type, not the lane's payload type.
+trait ErasedCell: Any + Send {
+    /// The cell's `Option<S>` state.
+    fn state_mut(&mut self) -> &mut dyn Any;
+}
+
+impl<S: Send + 'static, P: Payload> ErasedCell for LaneCell<S, P> {
+    fn state_mut(&mut self) -> &mut dyn Any {
+        &mut self.state
+    }
+}
+
+/// Per-node, per-lane slot: the lane's cell plus its activity bookkeeping.
 pub struct LaneSlot {
-    state: Box<dyn Any + Send>,
+    cell: Box<dyn ErasedCell>,
     /// Dedicated RNG stream (`lane_seeded`), or `None` to borrow the node's
     /// engine stream (the transparent single-lane mode).
     rng: Option<SmallRng>,
     /// The lane asked to run next round even without mail.
     awake: bool,
+    /// Sends still waiting in the cell's outbox for the interleave.
+    queued: usize,
     /// Rounds in which this lane actually stepped (init included).
     pub active_rounds: u64,
     /// Messages this lane sent.
@@ -155,24 +188,40 @@ pub struct LaneStats {
 
 /// Object-safe driver interface for one lane's inner program.
 trait ErasedLane<'a>: Sync {
+    /// Fills the slot's inbox with the lane-`lane` messages of the
+    /// combined `inbox` and, if the lane is active, steps it. Its sends
+    /// wait in the slot's outbox (counted by `slot.queued`) for
+    /// [`Self::pop_out`].
     #[allow(clippy::too_many_arguments)] // internal: mirrors the Ctx fields
     fn step(
         &self,
         slot: &mut LaneSlot,
-        inbox: &[Envelope<DynPayload>],
+        lane: u32,
+        inbox: &[Envelope<Tagged<DynPayload>>],
         is_init: bool,
         id: NodeId,
         n: usize,
         round: u64,
         engine_rng: &mut SmallRng,
-        out: &mut Vec<(NodeId, DynPayload)>,
     );
-    /// Boxes `states` back out (used by [`take_lane_states`]).
+    /// Moves the slot's next queued send out, in the order it was sent.
+    fn pop_out(&self, slot: &mut LaneSlot) -> (NodeId, DynPayload);
     fn type_name(&self) -> &'static str;
 }
 
 struct LaneEntry<Prog> {
     prog: Prog,
+}
+
+impl<Prog: NodeProgram> LaneEntry<Prog>
+where
+    Prog::State: 'static,
+{
+    fn cell(cell: &mut dyn ErasedCell) -> &mut LaneCell<Prog::State, Prog::Payload> {
+        (cell as &mut dyn Any)
+            .downcast_mut()
+            .expect("lane cell type mismatch")
+    }
 }
 
 impl<'a, Prog> ErasedLane<'a> for LaneEntry<Prog>
@@ -183,33 +232,31 @@ where
     fn step(
         &self,
         slot: &mut LaneSlot,
-        inbox: &[Envelope<DynPayload>],
+        lane: u32,
+        inbox: &[Envelope<Tagged<DynPayload>>],
         is_init: bool,
         id: NodeId,
         n: usize,
         round: u64,
         engine_rng: &mut SmallRng,
-        out: &mut Vec<(NodeId, DynPayload)>,
     ) {
-        let state = slot
-            .state
-            .downcast_mut::<Prog::State>()
-            .expect("lane state type mismatch");
-        // Rebuild the typed inbox for the inner program.
-        let typed: Vec<Envelope<Prog::Payload>> = inbox
-            .iter()
-            .map(|e| {
-                Envelope::new(
-                    e.src,
-                    e.dst,
-                    e.payload
-                        .downcast_ref::<Prog::Payload>()
-                        .expect("lane payload type mismatch")
-                        .clone(),
-                )
-            })
-            .collect();
-        let mut typed_out: Vec<(NodeId, Prog::Payload)> = Vec::new();
+        let cell = Self::cell(slot.cell.as_mut());
+        // Rebuild the typed inbox for the inner program, in arrival order.
+        cell.inbox
+            .extend(inbox.iter().filter(|e| e.payload.lane == lane).map(|e| {
+                let payload = e
+                    .payload
+                    .inner
+                    .downcast_ref::<Prog::Payload>()
+                    .expect("lane payload type mismatch");
+                Envelope::new(e.src, e.dst, payload.clone())
+            }));
+        // Engine activity rule, per lane: step on init, on mail, or when
+        // the lane asked to stay awake last round.
+        if !(is_init || !cell.inbox.is_empty() || slot.awake) {
+            return;
+        }
+        let state = cell.state.as_mut().expect("lane state already taken");
         let mut awake = false;
         {
             let rng = match slot.rng.as_mut() {
@@ -221,23 +268,32 @@ where
                 n,
                 round,
                 rng,
-                out: &mut typed_out,
+                out: &mut cell.out,
                 awake: &mut awake,
             };
             if is_init {
                 self.prog.init(state, &mut ctx);
             } else {
-                self.prog.round(state, &typed, &mut ctx);
+                self.prog.round(state, &cell.inbox, &mut ctx);
             }
         }
+        cell.inbox.clear();
+        // Reversed, so `pop_out` hands the sends back first to last.
+        cell.out.reverse();
+        let queued = cell.out.len();
         slot.awake = awake;
+        slot.queued = queued;
         slot.active_rounds += 1;
-        slot.sent += typed_out.len() as u64;
-        out.extend(
-            typed_out
-                .into_iter()
-                .map(|(dst, p)| (dst, DynPayload::new(p))),
-        );
+        slot.sent += queued as u64;
+    }
+
+    fn pop_out(&self, slot: &mut LaneSlot) -> (NodeId, DynPayload) {
+        slot.queued -= 1;
+        let (dst, p) = Self::cell(slot.cell.as_mut())
+            .out
+            .pop()
+            .expect("queued send");
+        (dst, DynPayload::new(p))
     }
 
     fn type_name(&self) -> &'static str {
@@ -310,9 +366,14 @@ impl<'a> MuxBuilder<'a> {
                 .into_iter()
                 .enumerate()
                 .map(|(node, st)| LaneSlot {
-                    state: Box::new(st),
+                    cell: Box::new(LaneCell::<Prog::State, Prog::Payload> {
+                        state: Some(st),
+                        inbox: Vec::new(),
+                        out: Vec::new(),
+                    }),
                     rng: seed.map(|s| node_rng(s, node as NodeId)),
                     awake: false,
+                    queued: 0,
                     active_rounds: 0,
                     sent: 0,
                 })
@@ -384,11 +445,15 @@ pub fn take_lane_states<S: Send + 'static>(states: &mut [MuxState], lane: LaneId
     states
         .iter_mut()
         .map(|ms| {
-            let slot = &mut ms.lanes[lane];
-            let boxed = std::mem::replace(&mut slot.state, Box::new(()));
-            *boxed.downcast::<S>().unwrap_or_else(|_| {
-                panic!("lane {lane} state is not a {}", std::any::type_name::<S>())
-            })
+            ms.lanes[lane]
+                .cell
+                .state_mut()
+                .downcast_mut::<Option<S>>()
+                .unwrap_or_else(|| {
+                    panic!("lane {lane} state is not a {}", std::any::type_name::<S>())
+                })
+                .take()
+                .expect("lane state already taken")
         })
         .collect()
 }
@@ -427,55 +492,42 @@ impl Mux<'_> {
     fn run_lanes(
         &self,
         st: &mut MuxState,
-        per_lane_inbox: &[Vec<Envelope<DynPayload>>],
+        inbox: &[Envelope<Tagged<DynPayload>>],
         is_init: bool,
         ctx: &mut Ctx<'_, Tagged<DynPayload>>,
     ) {
         debug_assert_eq!(st.lanes.len(), self.lanes.len());
-        let mut outs: Vec<Vec<(NodeId, DynPayload)>> = Vec::with_capacity(self.lanes.len());
+        debug_assert!(
+            inbox
+                .iter()
+                .all(|e| (e.payload.lane as usize) < self.lanes.len()),
+            "message for unknown lane"
+        );
         let mut any_awake = false;
-        for (i, lane) in self.lanes.iter().enumerate() {
-            let slot = &mut st.lanes[i];
-            let inbox = per_lane_inbox.get(i).map_or(&[][..], |v| &v[..]);
-            // Engine activity rule, per lane: step on init, on mail, or when
-            // the lane asked to stay awake last round.
-            let active = is_init || !inbox.is_empty() || slot.awake;
-            let mut out = Vec::new();
-            if active {
-                slot.awake = false;
-                lane.step(
-                    slot, inbox, is_init, ctx.id, ctx.n, ctx.round, ctx.rng, &mut out,
-                );
-            }
+        let mut longest = 0;
+        for (i, (lane, slot)) in self.lanes.iter().zip(&mut st.lanes).enumerate() {
+            lane.step(
+                slot, i as u32, inbox, is_init, ctx.id, ctx.n, ctx.round, ctx.rng,
+            );
             any_awake |= slot.awake;
-            outs.push(out);
+            longest = longest.max(slot.queued);
         }
         // Lane-round-robin interleave: position j of every lane before
         // position j+1 of any lane, so all lanes share the send budget (and
-        // permissive truncation) fairly and deterministically. Draining
-        // iterators move the payloads out without placeholder allocations.
-        let mut drains: Vec<_> = outs
-            .into_iter()
-            .enumerate()
-            .map(|(i, out)| (i as u32, out.into_iter()))
-            .collect();
-        loop {
-            let mut any = false;
-            for (lane, drain) in drains.iter_mut() {
-                if let Some((dst, payload)) = drain.next() {
-                    any = true;
+        // permissive truncation) fairly and deterministically.
+        for _ in 0..longest {
+            for (i, (lane, slot)) in self.lanes.iter().zip(&mut st.lanes).enumerate() {
+                if slot.queued > 0 {
+                    let (dst, payload) = lane.pop_out(slot);
                     ctx.send(
                         dst,
                         Tagged {
-                            lane: *lane,
+                            lane: i as u32,
                             lane_bits: self.lane_bits,
                             inner: payload,
                         },
                     );
                 }
-            }
-            if !any {
-                break;
             }
         }
         if any_awake {
@@ -498,15 +550,7 @@ impl<'a> NodeProgram for Mux<'a> {
         inbox: &[Envelope<Tagged<DynPayload>>],
         ctx: &mut Ctx<'_, Tagged<DynPayload>>,
     ) {
-        // Partition the combined inbox by lane, preserving arrival order.
-        let mut per_lane: Vec<Vec<Envelope<DynPayload>>> = Vec::new();
-        per_lane.resize_with(self.lanes.len(), Vec::new);
-        for env in inbox {
-            let lane = env.payload.lane as usize;
-            debug_assert!(lane < self.lanes.len(), "message for unknown lane");
-            per_lane[lane].push(Envelope::new(env.src, env.dst, env.payload.inner.clone()));
-        }
-        self.run_lanes(st, &per_lane, false, ctx);
+        self.run_lanes(st, inbox, false, ctx);
     }
 }
 
